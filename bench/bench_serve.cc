@@ -122,7 +122,6 @@ runSingle(Module& model, const std::vector<Tensor>& items)
 {
     ServeOptions opt;
     opt.maxBatch = 1;
-    opt.deadlineUs = 0;
     BatchServer srv({&model}, cnnTraits(), opt);
     for (size_t i = 0; i < 8; ++i) // warm the request path
         srv.submit(items[i % items.size()]).future.get();
@@ -168,7 +167,6 @@ runBatched(Module& model, const std::vector<Tensor>& items,
 {
     ServeOptions opt;
     opt.maxBatch = maxBatch;
-    opt.deadlineUs = 500;
     BatchServer srv({&model}, cnnTraits(), opt);
     double rate = pumpSaturated(srv, items, maxBatch);
     srv.stop(true);
@@ -186,7 +184,6 @@ runPlanned(Module& model, const std::vector<Tensor>& items,
 {
     ServeOptions opt;
     opt.maxBatch = maxBatch;
-    opt.deadlineUs = 500;
     BatchServer srv(model, /*replicas=*/1, cnnTraits(), opt);
     double rate = pumpSaturated(srv, items, maxBatch);
     srv.stop(true);
@@ -330,7 +327,6 @@ runMemoryReport()
 
     ServeOptions opt;
     opt.maxBatch = 16;
-    opt.deadlineUs = 0;
     // First served request forces panel packing (first server) /
     // reuse (second server) plus the warmup batches, so each RSS
     // sample sees that server fully faulted in.
@@ -388,7 +384,6 @@ runOverloadReport(double seconds)
     constexpr size_t kMaxQueueItems = 64;
     ServeOptions opt;
     opt.maxBatch = 16;
-    opt.deadlineUs = 500;
     opt.maxQueueItems = kMaxQueueItems;
     opt.overload = OverloadPolicy::Shed;
     BatchServer srv({model.get()}, cnnTraits(), opt);
@@ -443,8 +438,7 @@ runOverloadReport(double seconds)
 // -------------------------------------------------------- open-loop mode
 
 int
-runOpenLoop(double rate, double seconds, size_t maxBatch,
-            long deadlineUs)
+runOpenLoop(double rate, double seconds, size_t maxBatch)
 {
     auto model = makeServableModel(91);
     Rng itemRng(92);
@@ -454,7 +448,6 @@ runOpenLoop(double rate, double seconds, size_t maxBatch,
 
     ServeOptions opt;
     opt.maxBatch = maxBatch;
-    opt.deadlineUs = deadlineUs;
     BatchServer srv({model.get()}, cnnTraits(), opt);
     for (size_t i = 0; i < 2 * maxBatch; ++i)
         srv.submit(pool[i % pool.size()]).future.get();
@@ -533,8 +526,8 @@ runOpenLoop(double rate, double seconds, size_t maxBatch,
     };
     BatchServer::Stats st = srv.stats();
     std::printf("open-loop Poisson: rate %.0f req/s for %.1f s, "
-                "maxBatch %zu, deadline %ld us\n",
-                rate, seconds, maxBatch, deadlineUs);
+                "maxBatch %zu\n",
+                rate, seconds, maxBatch);
     std::printf("served %zu requests in %zu batches "
                 "(%.2f items/batch)\n",
                 st.requests, st.batches,
@@ -567,7 +560,7 @@ main(int argc, char** argv)
     bool overload = false;
     std::string filter;
     int repetitions = 1;
-    double rate = 1500.0, seconds = 3.0, deadlineUs = 1000.0;
+    double rate = 1500.0, seconds = 3.0;
     double maxBatch = 8.0;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -589,12 +582,10 @@ main(int argc, char** argv)
             seconds = argValue(a, "--seconds=");
         else if (a.rfind("--max-batch=", 0) == 0)
             maxBatch = argValue(a, "--max-batch=");
-        else if (a.rfind("--deadline-us=", 0) == 0)
-            deadlineUs = argValue(a, "--deadline-us=");
         else {
             std::fprintf(stderr,
                          "usage: %s [--rate=R] [--seconds=S] "
-                         "[--max-batch=B] [--deadline-us=D] | "
+                         "[--max-batch=B] | "
                          "--memory-report | "
                          "--overload [--seconds=S] | "
                          "google-benchmark budget flags\n",
@@ -608,6 +599,5 @@ main(int argc, char** argv)
         return runOverloadReport(seconds);
     if (jsonMode)
         return runBudgetMode(filter, std::max(repetitions, 1));
-    return runOpenLoop(rate, seconds, size_t(maxBatch),
-                       long(deadlineUs));
+    return runOpenLoop(rate, seconds, size_t(maxBatch));
 }

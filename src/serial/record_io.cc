@@ -48,6 +48,20 @@ dtypeSize(RecDType t)
     panic("record: unknown dtype");
 }
 
+/** Payload bytes of a @p shape record of @p dtype into @p bytes;
+    false when the product overflows size_t (a crafted shape could
+    otherwise wrap to a small size that matches its payload). */
+bool
+shapeBytes(std::span<const uint64_t> shape, RecDType dtype,
+           size_t& bytes)
+{
+    bytes = dtypeSize(dtype);
+    for (uint64_t d : shape)
+        if (__builtin_mul_overflow(bytes, d, &bytes))
+            return false;
+    return true;
+}
+
 } // namespace
 
 const char*
@@ -146,10 +160,9 @@ RecordWriter::add(const std::string& name, RecDType dtype,
 {
     MIXQ_ASSERT(f_ != nullptr, "record writer already closed");
     faultOnRecordWrite(count_);
-    size_t elems = 1;
-    for (uint64_t d : shape)
-        elems *= size_t(d);
-    MIXQ_ASSERT(dataBytes == elems * dtypeSize(dtype),
+    size_t expected = 0;
+    MIXQ_ASSERT(shapeBytes(shape, dtype, expected) &&
+                    dataBytes == expected,
                 "record payload does not match its shape");
 
     // The checksum covers the record region byte for byte, in file
@@ -272,9 +285,16 @@ RecordFile::parse(const std::string& path, const char* magic,
     if (!f)
         throw RecordLoadError(LoadStatus::OpenFailed,
                               "cannot open " + path);
-    std::fseek(f, 0, SEEK_END);
-    long fsize = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
+    // A stream that cannot seek (a pipe) reports -1: an open failure,
+    // never a size.
+    long fsize = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0)
+        fsize = std::ftell(f);
+    if (fsize < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+        std::fclose(f);
+        throw RecordLoadError(LoadStatus::OpenFailed,
+                              "cannot size " + path);
+    }
     std::vector<uint8_t> buf;
     buf.resize(size_t(fsize));
     if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
@@ -341,7 +361,9 @@ RecordFile::parse(const std::string& path, const char* magic,
         uint64_t payload;
         std::memcpy(&payload, buf.data() + pos, 8);
         pos += 8;
-        if (payload != rec.elems() * dtypeSize(rec.dtype))
+        size_t expected = 0;
+        if (!shapeBytes(rec.shape, rec.dtype, expected) ||
+            payload != expected)
             throw RecordLoadError(
                 LoadStatus::Corrupt,
                 path + ": record payload does not match its shape — "

@@ -3,6 +3,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "util/logging.hh"
 
 namespace mixq {
@@ -225,9 +229,29 @@ void PlanExecutor::run(size_t items)
 {
     MIXQ_ASSERT(items >= 1 && items <= maxItems_,
                 "PlanExecutor::run: batch exceeds the planned maximum");
+#ifdef _OPENMP
+    // omp_set_num_threads sets a per-thread ICV: narrowing it here
+    // turns this run's layer regions into one-thread regions on the
+    // calling thread, and the restore below leaves the caller's team
+    // as it was (no step throws; failures abort).
+    const int threads = omp_get_max_threads();
+    const int team = teamFor(items, threads);
+    int current = threads;
+#endif
     const std::vector<StepViews>& vs = viewsByN_[items];
     for (size_t si = 0; si < steps_.size(); ++si) {
         const StepExec& se = steps_[si];
+#ifdef _OPENMP
+        // The recurrent serve path splits its gate GEMMs' rows over
+        // the team when the batch fits one chunk — its only
+        // parallelism at small batches — so it keeps the full team.
+        const int want =
+            se.op == Op::Lstm || se.op == Op::Gru ? threads : team;
+        if (want != current) {
+            omp_set_num_threads(want);
+            current = want;
+        }
+#endif
         const TensorView& x = vs[si].in;
         const TensorView& y = vs[si].out;
         switch (se.op) {
@@ -295,6 +319,10 @@ void PlanExecutor::run(size_t items)
         }
         }
     }
+#ifdef _OPENMP
+    if (current != threads)
+        omp_set_num_threads(threads);
+#endif
 }
 
 } // namespace mixq

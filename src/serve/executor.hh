@@ -20,10 +20,14 @@
  * interpolation is exact (asserted).
  *
  * Construction and run() are single-threaded from the caller's view
- * (one worker thread per replica); the layer forwards open their own
- * OpenMP regions exactly as the scope-path eval forward does, so
- * outputs are bit-identical to Module::forward(x, false) at every
- * thread count.
+ * (one worker thread per replica). A batch of at most one item per
+ * thread of the caller's OpenMP team runs its item-parallel steps on
+ * the calling thread alone (teamFor); recurrent steps, which split
+ * weight rows rather than items at such sizes, and every step of a
+ * larger batch open their OpenMP regions on the full team, exactly as
+ * the scope-path eval forward does. Integer sums are exact and every
+ * float epilogue is per-element, so outputs are bit-identical to
+ * Module::forward(x, false) either way, at every thread count.
  */
 
 #ifndef MIXQ_SERVE_EXECUTOR_HH
@@ -63,8 +67,25 @@ class PlanExecutor
      * caller has written the input into inputData() in the runtime
      * input shape; the output lands at outputData(). Allocation-free
      * in steady state (first call included — scratch is ctor-sized).
+     * Item-parallel steps run on teamFor(items, omp_get_max_threads())
+     * threads; recurrent steps always get the caller's full team.
      */
     void run(size_t items);
+
+    /**
+     * Team width run() gives the item-parallel steps of a batch of
+     * @p items when the calling thread's OpenMP team is @p threads
+     * wide: 1 (the calling thread alone, no team) for at most one
+     * item per thread, else the full team. At that size each thread
+     * gets at most one item, while every step still pays a fork and a
+     * barrier that needs all of the team's threads scheduled at once.
+     * A pure function of its arguments, never timed, so serving stays
+     * deterministic and setup does no calibration.
+     */
+    static int teamFor(size_t items, int threads)
+    {
+        return items <= size_t(threads) ? 1 : threads;
+    }
 
     /** Slab address of the input buffer (gather target). */
     float* inputData() { return buf(0); }

@@ -377,43 +377,28 @@ BatchServer::nextBatch(std::vector<Request>& batch, size_t& items)
         break;
     }
 
+    // Work-conserving gather: the head plus the FIFO prefix already
+    // queued behind it, up to maxBatch items, and the batch starts at
+    // once — an idle worker never waits for a batch to fill. A request
+    // that does not fit ships the batch as-is (no reordering past
+    // it); expired requests are reaped, not gathered.
     items = queue_.front().items;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
+    while (!queue_.empty()) {
+        if (isExpired(queue_.front())) {
+            dropExpiredFront();
+            continue;
+        }
+        const size_t fi = queue_.front().items;
+        if (items + fi > opt_.maxBatch)
+            break;
+        items += fi;
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+    }
     queuedItems_ -= items;
     roomCv_.notify_all();
-
-    if (opt_.deadlineUs > 0 && items < opt_.maxBatch) {
-        auto dl = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.deadlineUs);
-        bool timedOut = false;
-        for (;;) {
-            // FIFO coalesce: adjacent requests that fit. A head that
-            // does not fit ships the batch as-is — no reordering
-            // past it. Expired heads are reaped, not gathered.
-            for (;;) {
-                if (queue_.empty())
-                    break;
-                if (isExpired(queue_.front())) {
-                    dropExpiredFront();
-                    continue;
-                }
-                size_t fi = queue_.front().items;
-                if (items + fi > opt_.maxBatch)
-                    break;
-                items += fi;
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-                queuedItems_ -= fi;
-                roomCv_.notify_all();
-            }
-            if (items >= opt_.maxBatch || !queue_.empty() ||
-                stopping_ || pauseRequested_ || timedOut)
-                break;
-            timedOut =
-                cv_.wait_until(lk, dl) == std::cv_status::timeout;
-        }
-    }
     return true;
 }
 
@@ -532,17 +517,20 @@ BatchServer::plannedWorkerBody(size_t worker)
     // Warmup: the slab is already pre-faulted and every serve scratch
     // ctor-sized, but this thread's lazily-grown state — the GEMM
     // backend's thread_local packing buffers, the OpenMP runtime's
-    // team — must reach steady capacity before the Debug zero-alloc
-    // window opens. Two max-batch runs on zeroed input (id 0 is a
-    // valid token for the embedding models) get there. The input
-    // buffer's slab range is recycled by later buffers (liveness
-    // packing), so each run re-zeroes it — the per-batch gatherInto
-    // plays that role in steady state.
+    // team and its one-thread path — must reach steady capacity before
+    // the Debug zero-alloc window opens. Two rounds of a batch-1 run
+    // (always on this thread alone) and a max-batch run (the full
+    // team once maxBatch exceeds it, PlanExecutor::teamFor) on zeroed
+    // input (id 0 is a valid token for the embedding models) get
+    // there. The input buffer's slab range is recycled by later
+    // buffers (liveness packing), so each run re-zeroes it — the
+    // per-batch gatherInto plays that role in steady state.
     faultOnWarmup();
-    std::memset(exec.inputData(), 0, exec.inputBytes());
-    exec.run(opt_.maxBatch);
-    std::memset(exec.inputData(), 0, exec.inputBytes());
-    exec.run(opt_.maxBatch);
+    for (int round = 0; round < 2; ++round)
+        for (size_t n : {size_t(1), opt_.maxBatch}) {
+            std::memset(exec.inputData(), 0, exec.inputBytes());
+            exec.run(n);
+        }
 
     size_t batchesDone = 0;
     uint64_t myGen = reloadGen_.load(std::memory_order_relaxed);

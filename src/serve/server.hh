@@ -3,13 +3,16 @@
  * Batched inference server runtime. BatchServer owns a small pool of
  * worker threads, each bound to one model replica; callers submit()
  * single- or multi-item request tensors and get a future for the
- * per-request output slice. Workers pull from one shared FIFO queue
- * and coalesce adjacent requests into a batch of up to
- * ServeOptions::maxBatch items, waiting at most deadlineUs for the
- * batch to fill — the classic dynamic-batching latency/throughput
- * trade. Coalescing never reorders: the queue head that does not fit
- * ships the batch (a request is one unit; items of one request are
- * never split across batches).
+ * per-request output slice. Workers pull from one shared FIFO queue.
+ * Coalescing is work-conserving: a worker that pops a request also
+ * takes the FIFO prefix already queued behind it, up to
+ * ServeOptions::maxBatch items, and starts the batch at once — it
+ * never holds a request back waiting for more to arrive. Batches
+ * therefore grow with load on their own: an idle server answers a
+ * lone request at batch 1, a busy one finds a full queue each time a
+ * batch finishes. Coalescing never reorders: the queue head that
+ * does not fit ships the batch (a request is one unit; items of one
+ * request are never split across batches).
  *
  * Two execution modes share the queue/coalescing front end:
  *
@@ -138,9 +141,12 @@ class ServeError : public std::runtime_error
 /** Tuning knobs of a BatchServer. */
 struct ServeOptions
 {
-    size_t maxBatch = 8;   //!< max coalesced items per forward
-    long deadlineUs = 1000; //!< max wait for a batch to fill; 0 =
-                            //!< never coalesce (batch of one request)
+    size_t maxBatch = 8;   //!< max coalesced items per forward;
+                           //!< 1 = one request per batch
+    long deadlineUs = 1000; //!< ignored: coalescing never waits for
+                            //!< a batch to fill. Kept so existing
+                            //!< callers compile; per-request expiry
+                            //!< is submit()'s deadlineUs.
     size_t arenaBytes = 0; //!< arena capacity floor; 0 = sized from
                            //!< warmup measurement and the plan
     int ompThreads = 0;    //!< omp_set_num_threads per worker; 0 =

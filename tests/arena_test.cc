@@ -7,14 +7,23 @@
  * analytic hand case, plan byte-stability across replans, and the
  * headline property — a warmed-up Int-backend forward under an
  * ArenaScope performs zero real-heap allocations on the calling
- * thread and still produces bit-identical outputs.
+ * thread and still produces bit-identical outputs. The PlanExecutor
+ * tests pin its team choice (a batch of at most one item per thread
+ * runs without a team), bit-equality with solo forwards at every
+ * batch size and thread count, and zero allocation as batches
+ * alternate between the one-thread and the team shape.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "infer/session.hh"
 #include "nn/models.hh"
@@ -391,6 +400,190 @@ TEST(PlanExecutor, ReplicasShareOneWeightCopy)
     size_t n = shapeSize(a.outputShape(4));
     for (size_t i = 0; i < n; ++i)
         ASSERT_EQ(ya[i], yb[i]) << "index " << i;
+}
+
+/** A MiniResNet calibrated on @p x and switched to the Int backend. */
+std::unique_ptr<Module>
+intMiniResNet(uint64_t seed, const Tensor& x)
+{
+    Rng rng(seed);
+    auto model = makeMiniResNet(4, rng);
+    QConfig cfg;
+    QatContext qat(cfg);
+    qat.attach(model->params());
+    model->setActQuant(cfg.actBits, true);
+    model->forward(x, true); // calibrate
+    qat.finalize();
+    applyInferBackend(*model, InferBackend::Int, &qat);
+    return model;
+}
+
+std::vector<int>
+ompThreadCounts()
+{
+#ifdef _OPENMP
+    return {1, 4, 8};
+#else
+    return {1};
+#endif
+}
+
+int
+maxThreads()
+{
+#ifdef _OPENMP
+    return omp_get_max_threads();
+#else
+    return 1;
+#endif
+}
+
+void
+setThreads(int n)
+{
+#ifdef _OPENMP
+    omp_set_num_threads(n);
+#else
+    (void)n;
+#endif
+}
+
+// A batch of at most one item per thread runs on the calling thread
+// alone; a larger one gets the whole team. The choice depends on the
+// item count and the team width only.
+TEST(PlanExecutor, BatchOfAtMostOneItemPerThreadRunsWithoutATeam)
+{
+    for (int t : {1, 2, 3, 4, 8, 16}) {
+        for (size_t n = 1; n <= size_t(t); ++n)
+            EXPECT_EQ(PlanExecutor::teamFor(n, t), 1)
+                << "items " << n << ", threads " << t;
+        for (size_t n = size_t(t) + 1; n <= 32; ++n)
+            EXPECT_EQ(PlanExecutor::teamFor(n, t), t)
+                << "items " << n << ", threads " << t;
+    }
+}
+
+/**
+ * Run @p exec at every batch size 1..maxItems on the first n items of
+ * @p x and require each item's rows bit-equal to its solo forward in
+ * @p refs. Batch axis 0 outputs are [n, ...] by item; time-major
+ * outputs are [T*n, C] by timestep (row t*n + i).
+ */
+void
+expectEveryBatchMatchesSolo(PlanExecutor& exec, const Tensor& x,
+                            size_t batchAxis,
+                            const std::vector<Tensor>& refs)
+{
+    const size_t kMax = exec.maxItems();
+    const size_t t = batchAxis == 0 ? 1 : x.dim(0);
+    const size_t inner = x.size() / (t * kMax);
+    const size_t cols = refs[0].size() / t;
+    for (size_t n = 1; n <= kMax; ++n) {
+        SCOPED_TRACE(testing::Message() << "items " << n);
+        for (size_t tt = 0; tt < t; ++tt)
+            std::copy_n(x.data() + tt * kMax * inner, n * inner,
+                        exec.inputData() + tt * n * inner);
+        exec.run(n);
+        ASSERT_EQ(shapeSize(exec.outputShape(n)), n * t * cols);
+        const float* y = exec.outputData();
+        for (size_t i = 0; i < n; ++i)
+            for (size_t tt = 0; tt < t; ++tt)
+                for (size_t c = 0; c < cols; ++c)
+                    ASSERT_EQ(y[(tt * n + i) * cols + c],
+                              refs[i][tt * cols + c])
+                        << "item " << i << ", step " << tt
+                        << ", col " << c;
+    }
+}
+
+// Every batch size — the one-thread shape up to T items and the team
+// shape above it — is bit-equal to each item's solo eval forward, at
+// every thread count, for a CNN and for an LSTM (whose recurrent
+// steps keep the team), and run() leaves the caller's team width as
+// it found it.
+TEST(PlanExecutor, EveryBatchSizeMatchesSoloForwardsAtEveryThreadCount)
+{
+    constexpr size_t kMax = 8, kSeq = 5, kVocab = 20;
+    Rng dataRng(80);
+    Tensor img = Tensor::randn({kMax, 3, 12, 12}, dataRng, 1.0);
+    for (float& v : img.span())
+        v = v < 0.0f ? -v : v;
+    auto cnn = intMiniResNet(81, img);
+    std::vector<Tensor> cnnRefs;
+    for (size_t i = 0; i < kMax; ++i) {
+        Tensor xi({1, 3, 12, 12});
+        std::copy_n(img.data() + i * xi.size(), xi.size(), xi.data());
+        cnnRefs.push_back(cnn->forward(xi, false));
+    }
+
+    Tensor tokens({kSeq, kMax});
+    for (float& v : tokens.span())
+        v = float(int(dataRng.uniform(0.0, double(kVocab) - 0.001)));
+    Rng lmRng(84);
+    LstmLm lm(kVocab, 10, 16, 2, lmRng);
+    {
+        QConfig cfg;
+        QatContext qat(cfg);
+        qat.attach(lm.params());
+        lm.setActQuant(cfg.actBits, true);
+        lm.forward(tokens, true); // calibrate
+        qat.finalize();
+        applyInferBackend(lm, InferBackend::Int, &qat);
+    }
+    std::vector<Tensor> lmRefs;
+    for (size_t i = 0; i < kMax; ++i) {
+        Tensor xi({kSeq, 1});
+        for (size_t tt = 0; tt < kSeq; ++tt)
+            xi[tt] = tokens[tt * kMax + i];
+        lmRefs.push_back(lm.forward(xi, false));
+    }
+
+    const int saved = maxThreads();
+    for (int threads : ompThreadCounts()) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        setThreads(threads);
+        PlanExecutor cnnExec(*cnn, {1, 3, 12, 12}, 0, kMax);
+        expectEveryBatchMatchesSolo(cnnExec, img, 0, cnnRefs);
+        EXPECT_EQ(maxThreads(), threads);
+        PlanExecutor lmExec(lm, {kSeq, 1}, 1, kMax);
+        expectEveryBatchMatchesSolo(lmExec, tokens, 1, lmRefs);
+        EXPECT_EQ(maxThreads(), threads);
+    }
+    setThreads(saved);
+}
+
+// The zero-allocation contract holds as steady-state batches alternate
+// between the one-thread shape (b1) and the team shape (b16), once
+// both were warmed the way the server warms a worker.
+TEST(PlanExecutor, AlternatingTeamShapesAllocateNothing)
+{
+    constexpr size_t kMax = 16;
+    Rng dataRng(82);
+    Tensor x = Tensor::randn({kMax, 3, 12, 12}, dataRng, 1.0);
+    for (float& v : x.span())
+        v = v < 0.0f ? -v : v;
+    auto model = intMiniResNet(83, x);
+
+    const int saved = maxThreads();
+    setThreads(4);
+    ASSERT_EQ(PlanExecutor::teamFor(1, maxThreads()), 1);
+    PlanExecutor exec(*model, {1, 3, 12, 12}, 0, kMax);
+    for (int round = 0; round < 2; ++round)
+        for (size_t n : {size_t(1), kMax}) {
+            std::copy_n(x.data(), x.size(), exec.inputData());
+            exec.run(n);
+        }
+
+    ScopedHeapAllocCount heap;
+    uint64_t a0 = arenaAllocCount();
+    for (int i = 0; i < 6; ++i) {
+        std::copy_n(x.data(), x.size(), exec.inputData());
+        exec.run(i % 2 == 0 ? 1 : kMax);
+    }
+    EXPECT_EQ(heap.count(), 0u)
+        << "alternating b1/b16 planned runs hit the real heap";
+    EXPECT_EQ(arenaAllocCount(), a0);
+    setThreads(saved);
 }
 
 /** A module the planner has no shape-transfer rule for. */

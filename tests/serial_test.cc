@@ -6,7 +6,9 @@
  * deploy artifact round trips (served integer outputs bit-identical
  * to the in-process backend, CNN and RNN), and the rejection paths —
  * truncation, corruption, foreign magic, version and architecture
- * mismatches must all die with a message naming the problem.
+ * mismatches must all die with a message naming the problem; an
+ * unsizable stream and a shape whose byte count wraps get their exact
+ * failure class from the recoverable loader.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +17,12 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "data/synth_images.hh"
 #include "infer/session.hh"
@@ -25,6 +32,7 @@
 #include "nn/trainer.hh"
 #include "serial/checkpoint.hh"
 #include "serial/deploy.hh"
+#include "serial/record_io.hh"
 #include "serve/fault.hh"
 #include "util/rng.hh"
 
@@ -575,6 +583,71 @@ TEST(SerialRecoverable, TryLoadCheckpointReportsPreciseFailureClass)
                  "checksum-mismatch");
     for (const std::string& p : {ckpt, cut, bad, newer})
         std::remove(p.c_str());
+}
+
+// A stream that cannot report its size (a FIFO: the seek fails and
+// ftell gives -1) is an open failure, not a resize to SIZE_MAX.
+TEST(SerialRecoverable, UnsizableStreamIsAnOpenFailure)
+{
+    const std::string fifo = tmpPath("fifo.bin");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    // Holding the FIFO open read-write gives it a writer, so the
+    // loader's read-only open returns at once instead of blocking.
+    int fd = open(fifo.c_str(), O_RDWR | O_NONBLOCK);
+    ASSERT_GE(fd, 0);
+    LoadResult err;
+    auto rf = RecordFile::tryOpen(fifo, "MIXQTEST", 1, "test", err);
+    EXPECT_EQ(rf, nullptr);
+    EXPECT_EQ(err.status, LoadStatus::OpenFailed) << err.message;
+    close(fd);
+    std::remove(fifo.c_str());
+}
+
+// A record whose shape product wraps size_t (2^32 x 2^32 floats
+// claims 2^66 bytes, which wraps to 0) must not match an empty
+// payload: the file is otherwise well formed, checksum included.
+TEST(SerialRecoverable, ShapeWhoseByteCountWrapsIsCorrupt)
+{
+    std::vector<uint8_t> region;
+    auto put = [&](const void* p, size_t n) {
+        const uint8_t* b = static_cast<const uint8_t*>(p);
+        region.insert(region.end(), b, b + n);
+    };
+    const uint32_t nameLen = 1;
+    put(&nameLen, 4);
+    put("w", 1);
+    const uint8_t dtypeAndRank[2] = {uint8_t(RecDType::F32), 2};
+    put(dtypeAndRank, 2);
+    const uint64_t shape[2] = {uint64_t(1) << 32, uint64_t(1) << 32};
+    put(shape, sizeof(shape));
+    const uint64_t payload = 0;
+    put(&payload, 8);
+
+    uint64_t checksum = 1469598103934665603ull; // FNV-1a 64
+    for (uint8_t b : region) {
+        checksum ^= b;
+        checksum *= 1099511628211ull;
+    }
+    std::vector<uint8_t> file(8);
+    std::memcpy(file.data(), "MIXQTEST", 8);
+    const uint32_t version = 1;
+    const uint64_t count = 1;
+    for (auto [p, n] : {std::pair<const void*, size_t>{&version, 4},
+                        {&count, 8},
+                        {&checksum, 8}}) {
+        const uint8_t* b = static_cast<const uint8_t*>(p);
+        file.insert(file.end(), b, b + n);
+    }
+    file.insert(file.end(), region.begin(), region.end());
+    const std::string path = tmpPath("wrap_shape.bin");
+    writeAll(path, file);
+
+    LoadResult err;
+    auto rf = RecordFile::tryOpen(path, "MIXQTEST", 1, "test", err);
+    EXPECT_EQ(rf, nullptr);
+    EXPECT_EQ(err.status, LoadStatus::Corrupt) << err.message;
+    std::remove(path.c_str());
 }
 
 TEST(SerialRecoverable, FailedArtifactStageLeavesTheModelUntouched)

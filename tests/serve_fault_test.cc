@@ -159,7 +159,7 @@ TEST(ServeFault, ForwardThrowFailsOnlyItsBatchAndWorkerKeepsServing)
     ArmedPlan armed(plan);
 
     ServeOptions opt;
-    opt.deadlineUs = 0; // one request per batch: request i = batch i
+    opt.maxBatch = 1; // one request per batch: request i = batch i
     BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
                        opt);
 
@@ -207,7 +207,7 @@ TEST(ServeFault, KilledWorkerLeavesSurvivorDrainingTheQueue)
     ArmedPlan armed(plan);
 
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(
         std::vector<Module*>{replicaA.get(), replicaB.get()},
         cnnTraits(), opt);
@@ -262,7 +262,7 @@ TEST(ServeFault, LastWorkerDeathFailsEverythingInsteadOfHanging)
     ArmedPlan armed(plan);
 
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
                        opt);
 
@@ -310,7 +310,7 @@ TEST(ServeFault, WarmupAllocationFailureRetiresTheWorkerCleanly)
     ArmedPlan armed(plan);
 
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
                        opt);
 
@@ -339,7 +339,7 @@ TEST(ServeFault, DeadlineExpiryDropsQueuedRequestsBeforeGathering)
         refs.push_back(model->forward(sliceAxis0(x, i, 1), false));
 
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
                        opt);
 
@@ -407,7 +407,7 @@ TEST(ServeFault, ReloadRefusesDamagedArtifactAndSwapsGoodOne)
     auto serving = makeMiniResNet(4, rng);
     loadDeployArtifact(artifactA, *serving);
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(std::vector<Module*>{serving.get()},
                        cnnTraits(), opt);
     expectBitEqual(server.submit(Tensor(req)).future.get(), refA);
@@ -456,7 +456,7 @@ TEST(ServeFault, ReloadSwapsUnderPlannedSharedModelMode)
     Tensor refA = serving->forward(req, false);
 
     ServeOptions opt;
-    opt.deadlineUs = 0;
+    opt.maxBatch = 1;
     BatchServer server(*serving, size_t(2), cnnTraits(), opt);
     expectBitEqual(server.submit(Tensor(req)).future.get(), refA);
 

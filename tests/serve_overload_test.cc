@@ -104,7 +104,7 @@ runOverload(OverloadPolicy policy)
         BatchTraits traits;
         traits.itemShape = {1, 3, 12, 12};
         ServeOptions opt;
-        opt.deadlineUs = 0; // one request per batch
+        opt.maxBatch = 1; // one request per batch
         opt.maxQueueItems = kQueueBound;
         opt.overload = policy;
         BatchServer server(std::vector<Module*>{model.get()}, traits,

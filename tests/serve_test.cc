@@ -8,7 +8,8 @@
  * sequence models (LstmLm, GruTagger, batch axis 1) across worker
  * OMP thread counts. Around it: concurrency (ragged producers, no
  * lost or duplicated responses), shutdown mid-flight (every future
- * settles), the deadline=0 degenerate case (one request per batch),
+ * settles), work-conserving coalescing (a lone request never waits
+ * for a batch to fill; maxBatch 1 serves one request per batch),
  * request validation, and inference-only Conv+BN folding
  * (serve/bn_fold.hh) staying bit-identical on the Int backend.
  */
@@ -32,6 +33,7 @@
 #include "nn/rnn_models.hh"
 #include "nn/trainer.hh"
 #include "serve/bn_fold.hh"
+#include "serve/fault.hh"
 #include "serve/server.hh"
 #include "util/rng.hh"
 
@@ -73,6 +75,18 @@ sliceAxis1(const Tensor& x, size_t off, size_t k)
     return o;
 }
 
+/** Disarms on scope exit so a failing ASSERT cannot leak an armed
+    plan into the next test. */
+struct ArmedPlan
+{
+    explicit ArmedPlan(const FaultPlan& p) { armFaultPlan(p); }
+    ~ArmedPlan() { disarmFaultPlan(); }
+};
+
+/** How long a held batch stalls while a test queues requests behind
+    it: far longer than submitting a few dozen requests takes. */
+constexpr long kHoldUs = 50'000;
+
 /** QAT-calibrate @p model on @p x and switch it to the Int backend. */
 void
 toIntBackend(Module& model, const Tensor& x)
@@ -89,13 +103,14 @@ toIntBackend(Module& model, const Tensor& x)
 /**
  * Serve every composition of @p data through a fresh one-worker
  * server and require each response bit-identical to the same request
- * run alone (@p refs, computed by direct forwards). Compositions are
- * sized to sum to maxBatch so the worker coalesces them into one
- * forward (a slow machine may split them — invariance must hold
- * either way). With @p planned the server runs the shared-model
- * plan-execution path instead of the replica/arena path — the
- * references are still direct (scope-path) forwards, so this is also
- * the planned-vs-scope bit-equality check.
+ * run alone (@p refs, computed by direct forwards). A sacrificial
+ * full-size first request holds the worker in a batch-0 stall (the
+ * fault harness) while the composition queues behind it, so the
+ * work-conserving gather takes the whole composition as one forward
+ * — asserted through the batch count. With @p planned the server runs
+ * the shared-model plan-execution path instead of the replica/arena
+ * path — the references are still direct (scope-path) forwards, so
+ * this is also the planned-vs-scope bit-equality check.
  */
 void
 checkCompositions(Module& model, const BatchTraits& traits,
@@ -119,8 +134,11 @@ checkCompositions(Module& model, const BatchTraits& traits,
 
         ServeOptions opt;
         opt.maxBatch = total;
-        opt.deadlineUs = 2'000'000; // settled by the batch filling
         opt.ompThreads = ompThreads;
+        FaultPlan hold;
+        hold.stallAtBatch = 0;
+        hold.stallUs = kHoldUs;
+        ArmedPlan armed(hold);
         std::unique_ptr<BatchServer> server;
         if (planned)
             server = std::make_unique<BatchServer>(model, size_t(1),
@@ -128,6 +146,9 @@ checkCompositions(Module& model, const BatchTraits& traits,
         else
             server = std::make_unique<BatchServer>(
                 std::vector<Module*>{&model}, traits, opt);
+        // Full-size, so nothing queued behind it can join its batch.
+        std::future<Tensor> sacrificial =
+            server->submit(slice(data, 0, total)).future;
         std::vector<std::future<Tensor>> futs;
         for (Tensor& r : reqs)
             futs.push_back(server->submit(std::move(r)).future);
@@ -139,10 +160,13 @@ checkCompositions(Module& model, const BatchTraits& traits,
             Tensor got = futs[i].get();
             expectBitEqual(got, refs[i]);
         }
+        EXPECT_NO_THROW(sacrificial.get());
         server->stop(true);
         BatchServer::Stats st = server->stats();
-        EXPECT_EQ(st.requests, comp.size());
-        EXPECT_EQ(st.items, total);
+        EXPECT_EQ(st.requests, comp.size() + 1);
+        EXPECT_EQ(st.items, 2 * total);
+        EXPECT_EQ(st.batches, 2u)
+            << "the composition must run as exactly one batch";
         EXPECT_EQ(st.arenaOverflows, 0u);
         if (planned) {
             EXPECT_GT(st.planPeakBytes, 0u);
@@ -270,7 +294,6 @@ TEST(ServeConcurrency, RaggedProducersAllSettleCorrectly)
 
     ServeOptions opt;
     opt.maxBatch = 8;
-    opt.deadlineUs = 300;
     BatchServer server({model.get()},
                        BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
 
@@ -316,10 +339,22 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
 
     ServeOptions opt;
     opt.maxBatch = 4;
-    opt.deadlineUs = 50'000; // keep requests queued at stop time
+    // Keep requests queued at stop time: a sacrificial full-size
+    // request holds the worker in a stall while the rest queue behind
+    // it. A first request warms the worker, so it sits idle, ready to
+    // take the sacrificial one (batch 1) at once.
+    FaultPlan hold;
+    hold.stallAtBatch = 1;
+    hold.stallUs = kHoldUs;
+    ArmedPlan armed(hold);
     BatchServer server({model.get()},
                        BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+    server.submit(sliceAxis0(x, 0, 1)).future.get();
 
+    Tensor full({4, 3, 12, 12});
+    for (size_t i = 0; i < 4; ++i)
+        std::copy_n(x.data(), x.size(), full.data() + i * x.size());
+    std::future<Tensor> sacrificial = server.submit(full).future;
     std::vector<std::future<Tensor>> futs;
     for (int i = 0; i < 40; ++i)
         futs.push_back(server.submit(sliceAxis0(x, 0, 1)).future);
@@ -341,6 +376,22 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
         }
     }
     EXPECT_EQ(served + rejected, futs.size());
+    EXPECT_EQ(served, 0u) << "requests queued at stop must not run";
+
+    // Besides the warm-up, the sacrificial request ran as the only
+    // batch, or — if stop() beat the worker to it — never ran at all.
+    ASSERT_EQ(sacrificial.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    size_t sacrificialServed = 0;
+    try {
+        sacrificial.get();
+        sacrificialServed = 1;
+    } catch (const ServeError& e) {
+        EXPECT_EQ(e.code(), ServeError::Code::Stopped);
+    }
+    BatchServer::Stats st = server.stats();
+    EXPECT_EQ(st.batches, 1 + sacrificialServed);
+    EXPECT_EQ(st.requests, 1 + sacrificialServed);
 
     // Submissions after stop are rejected, not enqueued.
     std::future<Tensor> late = server.submit(sliceAxis0(x, 0, 1)).future;
@@ -366,7 +417,6 @@ TEST(ServeShutdown, SubmitVsStopHammerIsDeterministic)
     for (int round = 0; round < 3; ++round) {
         ServeOptions opt;
         opt.maxBatch = 4;
-        opt.deadlineUs = 200;
         BatchServer server({model.get()},
                            BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
 
@@ -414,7 +464,7 @@ TEST(ServeShutdown, SubmitVsStopHammerIsDeterministic)
     }
 }
 
-TEST(ServeDeadline, ZeroDeadlineServesOneRequestPerBatch)
+TEST(ServeCoalescing, MaxBatchOneServesOneRequestPerBatch)
 {
     Rng dataRng(91);
     Tensor x = Tensor::randn({2, 3, 12, 12}, dataRng, 1.0);
@@ -423,8 +473,7 @@ TEST(ServeDeadline, ZeroDeadlineServesOneRequestPerBatch)
     toIntBackend(*model, x);
 
     ServeOptions opt;
-    opt.maxBatch = 8;
-    opt.deadlineUs = 0; // degenerate: never coalesce
+    opt.maxBatch = 1; // degenerate: never coalesce
     BatchServer server({model.get()},
                        BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
 
@@ -437,7 +486,51 @@ TEST(ServeDeadline, ZeroDeadlineServesOneRequestPerBatch)
 
     BatchServer::Stats st = server.stats();
     EXPECT_EQ(st.requests, 6u);
-    EXPECT_EQ(st.batches, 6u) << "deadline 0 must not coalesce";
+    EXPECT_EQ(st.batches, 6u) << "maxBatch 1 must not coalesce";
+}
+
+// Coalescing is work-conserving: an idle worker starts a lone request
+// at once instead of waiting for a batch to fill, whatever the
+// (ignored) ServeOptions::deadlineUs says.
+TEST(ServeCoalescing, LoneRequestNeverWaitsForABatchToFill)
+{
+    Rng dataRng(103);
+    Tensor x = Tensor::randn({1, 3, 12, 12}, dataRng, 1.0);
+    Rng rng(104);
+    auto model = makeMiniResNet(4, rng);
+    toIntBackend(*model, x);
+    Tensor ref = model->forward(x, false);
+
+    ServeOptions opt;
+    opt.maxBatch = 8;
+    opt.deadlineUs = 60'000'000;
+    for (bool planned : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "planned " << planned);
+        std::unique_ptr<BatchServer> server;
+        if (planned)
+            server = std::make_unique<BatchServer>(
+                *model, size_t(1), BatchTraits{{1, 3, 12, 12}, 0, false},
+                opt);
+        else
+            server = std::make_unique<BatchServer>(
+                std::vector<Module*>{model.get()},
+                BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+        // The first request also waits out the worker's warm-up; the
+        // second finds the server idle.
+        expectBitEqual(server->submit(Tensor(x)).future.get(), ref);
+        auto t0 = std::chrono::steady_clock::now();
+        std::future<Tensor> lone = server->submit(Tensor(x)).future;
+        ASSERT_EQ(lone.wait_for(std::chrono::seconds(1)),
+                  std::future_status::ready)
+            << "a lone request waited for a batch to fill";
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        EXPECT_LT(ms, 500.0);
+        expectBitEqual(lone.get(), ref);
+        server->stop(true);
+        EXPECT_EQ(server->stats().batches, 2u);
+    }
 }
 
 TEST(ServeValidation, BadRequestsFailTheirFutureOnly)
@@ -563,7 +656,6 @@ TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
     // panels concurrently while owning private slabs and scratch.
     ServeOptions opt;
     opt.maxBatch = 4;
-    opt.deadlineUs = 200;
     BatchServer server(*model, 2, BatchTraits{{1, 3, 12, 12}, 0, false},
                        opt);
     std::vector<std::future<Tensor>> futs;
@@ -578,6 +670,43 @@ TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
     BatchServer::Stats st = server.stats();
     EXPECT_EQ(st.requests, reqs.size());
     EXPECT_EQ(st.arenaOverflows, 0u);
+}
+
+// A worker whose batches alternate between the one-thread shape (b1)
+// and the team shape (b16) keeps serving solo-identical answers, and
+// in Debug builds its steady-state zero-allocation assertion (armed
+// from the third batch on) holds for both shapes.
+TEST(ServePlanned, AlternatingTeamShapesServeBitIdentically)
+{
+    constexpr size_t kMax = 16;
+    Rng dataRng(105);
+    Tensor pool = Tensor::randn({kMax, 3, 12, 12}, dataRng, 1.0);
+    for (float& v : pool.span())
+        v = v < 0.0f ? -v : v;
+    Rng rng(106);
+    auto model = makeMiniResNet(4, rng);
+    toIntBackend(*model, pool);
+    Tensor refFull = model->forward(pool, false);
+    Tensor refOne = model->forward(sliceAxis0(pool, 0, 1), false);
+
+    ServeOptions opt;
+    opt.maxBatch = kMax;
+    opt.ompThreads = 4;
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
+    for (int i = 0; i < 8; ++i) {
+        SCOPED_TRACE(testing::Message() << "batch " << i);
+        // One request in flight at a time: batch i is request i.
+        if (i % 2 == 0)
+            expectBitEqual(
+                server.submit(sliceAxis0(pool, 0, 1)).future.get(),
+                refOne);
+        else
+            expectBitEqual(server.submit(Tensor(pool)).future.get(),
+                           refFull);
+    }
+    server.stop(true);
+    EXPECT_EQ(server.stats().batches, 8u);
 }
 
 } // namespace
