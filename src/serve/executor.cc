@@ -231,9 +231,9 @@ void PlanExecutor::run(size_t items)
                 "PlanExecutor::run: batch exceeds the planned maximum");
 #ifdef _OPENMP
     // omp_set_num_threads sets a per-thread ICV: narrowing it here
-    // turns this run's layer regions into one-thread regions on the
-    // calling thread, and the restore below leaves the caller's team
-    // as it was (no step throws; failures abort).
+    // narrows this run's layer regions on the calling thread, and the
+    // restore below leaves the caller's team as it was (no step
+    // throws; failures abort).
     const int threads = omp_get_max_threads();
     const int team = teamFor(items, threads);
     int current = threads;
@@ -242,11 +242,18 @@ void PlanExecutor::run(size_t items)
     for (size_t si = 0; si < steps_.size(); ++si) {
         const StepExec& se = steps_[si];
 #ifdef _OPENMP
-        // The recurrent serve path splits its gate GEMMs' rows over
-        // the team when the batch fits one chunk — its only
-        // parallelism at small batches — so it keeps the full team.
-        const int want =
-            se.op == Op::Lstm || se.op == Op::Gru ? threads : team;
+        // Linear splits weight rows over the team (x holds rows x in
+        // values), and the recurrent serve path its gate GEMMs' rows
+        // once the batch fits one chunk — their only parallelism at
+        // small batches, so neither follows the item count.
+        int want = team;
+        if (se.op == Op::Linear)
+            want = rowTeamFor(vs[si].in.size() *
+                                  static_cast<const Linear*>(se.mod)
+                                      ->outFeatures(),
+                              threads);
+        else if (se.op == Op::Lstm || se.op == Op::Gru)
+            want = threads;
         if (want != current) {
             omp_set_num_threads(want);
             current = want;

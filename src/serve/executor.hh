@@ -20,12 +20,14 @@
  * interpolation is exact (asserted).
  *
  * Construction and run() are single-threaded from the caller's view
- * (one worker thread per replica). A batch of at most one item per
- * thread of the caller's OpenMP team runs its item-parallel steps on
- * the calling thread alone (teamFor); recurrent steps, which split
- * weight rows rather than items at such sizes, and every step of a
- * larger batch open their OpenMP regions on the full team, exactly as
- * the scope-path eval forward does. Integer sums are exact and every
+ * (one worker thread per replica). How many threads of the caller's
+ * OpenMP team a step's regions get depends on what its parallel loop
+ * splits: item-parallel steps (convolutions and the per-element
+ * steps) run on the calling thread alone for a batch of at most one
+ * item per thread and on the full team above that (teamFor); Linear
+ * splits weight rows and gets the full team once its GEMM pays for a
+ * fork (rowTeamFor); Lstm and Gru, whose gate GEMMs split rows,
+ * always get the full team. Integer sums are exact and every
  * float epilogue is per-element, so outputs are bit-identical to
  * Module::forward(x, false) either way, at every thread count.
  */
@@ -68,23 +70,48 @@ class PlanExecutor
      * input shape; the output lands at outputData(). Allocation-free
      * in steady state (first call included — scratch is ctor-sized).
      * Item-parallel steps run on teamFor(items, omp_get_max_threads())
-     * threads; recurrent steps always get the caller's full team.
+     * threads, Linear on rowTeamFor, Lstm and Gru on the caller's
+     * full team.
      */
     void run(size_t items);
 
     /**
      * Team width run() gives the item-parallel steps of a batch of
      * @p items when the calling thread's OpenMP team is @p threads
-     * wide: 1 (the calling thread alone, no team) for at most one
-     * item per thread, else the full team. At that size each thread
-     * gets at most one item, while every step still pays a fork and a
-     * barrier that needs all of the team's threads scheduled at once.
-     * A pure function of its arguments, never timed, so serving stays
-     * deterministic and setup does no calibration.
+     * wide: 1 (the calling thread alone) while the batch has at most
+     * one item per thread, else the full team. A team at that size
+     * hands each thread at most one item, and in a busy serving loop
+     * its forks and barriers cost more than that split saves: with
+     * maxBatch <= T, a saturated server did more work on one thread
+     * than on min(items, T) threads (docs/ARCHITECTURE.md, "Batch
+     * server"). A pure function of its arguments, never timed, so
+     * serving stays deterministic and setup does no calibration.
      */
     static int teamFor(size_t items, int threads)
     {
         return items <= size_t(threads) ? 1 : threads;
+    }
+
+    /**
+     * Serial work, in multiply-accumulates, below which a row-split
+     * GEMM step runs faster on the calling thread than on a team. A
+     * fork of the worker's team costs tens of microseconds in a busy
+     * serving loop (~40 us measured on a 4-vCPU VM), about what one
+     * thread takes for 50k one-item integer MACs; the threshold is a
+     * couple of forks' worth.
+     */
+    static constexpr size_t kRowSplitMinMacs = size_t(1) << 17;
+
+    /**
+     * Team width run() gives a Linear step doing @p macs
+     * multiply-accumulates (rows x in x out): the full team from
+     * kRowSplitMinMacs on, else 1. Its loop splits weight rows, so
+     * unlike an item-parallel step it can use the team at batch 1. A
+     * pure function of its arguments, like teamFor.
+     */
+    static int rowTeamFor(size_t macs, int threads)
+    {
+        return macs >= kRowSplitMinMacs ? threads : 1;
     }
 
     /** Slab address of the input buffer (gather target). */

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <new>
 #include <thread>
 
@@ -17,6 +19,24 @@ namespace {
 // needs no lock of its own.
 std::atomic<bool> gArmed{false};
 FaultPlan gPlan;
+// The holdAtBatch latch: armFaultPlan closes it, releaseFaultHold and
+// disarmFaultPlan open it; gHeld records that a worker reached it.
+std::mutex gHoldMu;
+std::condition_variable gHoldCv;
+bool gHoldOpen = true;
+bool gHeld = false;
+
+void
+setHoldOpen(bool open)
+{
+    {
+        std::lock_guard<std::mutex> lk(gHoldMu);
+        gHoldOpen = open;
+        if (!open)
+            gHeld = false;
+    }
+    gHoldCv.notify_all();
+}
 
 } // namespace
 
@@ -24,6 +44,7 @@ void
 armFaultPlan(const FaultPlan& plan)
 {
     gPlan = plan;
+    setHoldOpen(false);
     gArmed.store(true, std::memory_order_release);
 }
 
@@ -31,6 +52,20 @@ void
 disarmFaultPlan()
 {
     gArmed.store(false, std::memory_order_release);
+    setHoldOpen(true);
+}
+
+void
+awaitFaultHold()
+{
+    std::unique_lock<std::mutex> lk(gHoldMu);
+    gHoldCv.wait(lk, [] { return gHeld; });
+}
+
+void
+releaseFaultHold()
+{
+    setHoldOpen(true);
 }
 
 bool
@@ -48,9 +83,12 @@ faultOnBatch(uint64_t batchIndex)
     if (gPlan.stallEveryBatchUs > 0)
         std::this_thread::sleep_for(
             std::chrono::microseconds(gPlan.stallEveryBatchUs));
-    if (gPlan.stallAtBatch == k && gPlan.stallUs > 0)
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(gPlan.stallUs));
+    if (gPlan.holdAtBatch == k) {
+        std::unique_lock<std::mutex> lk(gHoldMu);
+        gHeld = true;
+        gHoldCv.notify_all();
+        gHoldCv.wait(lk, [] { return gHoldOpen; });
+    }
     if (gPlan.killWorkerAtBatch == k)
         throw WorkerKillFault();
     if (gPlan.throwInForwardAtBatch == k)
@@ -105,6 +143,16 @@ bool
 faultPlanArmed()
 {
     return false;
+}
+
+void
+awaitFaultHold()
+{
+}
+
+void
+releaseFaultHold()
+{
 }
 
 void

@@ -4,8 +4,8 @@
  * layers. A FaultPlan arms a small set of named failure triggers —
  * throw inside a worker forward at batch k, kill a worker thread
  * permanently, stall a worker, fail an allocation during warmup,
- * corrupt a record file's bytes as they are read, or fail a record
- * write — and the hook points compiled into BatchServer and the
+ * hold a worker until the test releases it, corrupt a record file's
+ * bytes as they are read, or fail a record write — and the hook points compiled into BatchServer and the
  * record container consult it. With no plan armed every hook is a
  * single relaxed atomic load, so the hooks stay compiled into every
  * build type and the chaos tests (tests/serve_fault_test.cc) exercise
@@ -44,9 +44,10 @@ struct FaultPlan
     /** Sleep this long before every forward (slow-worker stall —
         the deterministic way to make offered load exceed capacity). */
     long stallEveryBatchUs = 0;
-    /** One-shot stall: sleep stallUs before forward of batch k. */
-    long stallAtBatch = -1;
-    long stallUs = 0;
+    /** Block the worker before the forward of batch k until
+        releaseFaultHold() (or disarmFaultPlan()): lets a test queue
+        work behind a busy worker with no timing assumption. */
+    long holdAtBatch = -1;
     /** Throw std::bad_alloc from the worker's warmup. */
     bool failWarmupAlloc = false;
     /** Flip one byte of a record file's payload as it is read
@@ -87,12 +88,18 @@ void disarmFaultPlan();
 /** Whether a plan is currently armed. */
 bool faultPlanArmed();
 
+/** Block until a worker is blocked by holdAtBatch. */
+void awaitFaultHold();
+
+/** Let a worker blocked by holdAtBatch (now or later) go on. */
+void releaseFaultHold();
+
 // ------------------------------------------------------- hook points
 // Called by the serving/serialization code; no-ops when disarmed.
 
 /**
  * Worker-forward hook, called with the server's monotonic batch
- * sequence number before the batch runs: may stall, throw
+ * sequence number before the batch runs: may stall, hold, throw
  * FaultInjected, or throw WorkerKillFault per the armed plan.
  */
 void faultOnBatch(uint64_t batchIndex);

@@ -519,10 +519,10 @@ BatchServer::plannedWorkerBody(size_t worker)
     // backend's thread_local packing buffers, the OpenMP runtime's
     // team and its one-thread path — must reach steady capacity before
     // the Debug zero-alloc window opens. Two rounds of a batch-1 run
-    // (always on this thread alone) and a max-batch run (the full
-    // team once maxBatch exceeds it, PlanExecutor::teamFor) on zeroed
-    // input (id 0 is a valid token for the embedding models) get
-    // there. The input buffer's slab range is recycled by later
+    // (item-parallel steps on this thread alone) and a max-batch run
+    // (the full team once maxBatch exceeds it, PlanExecutor::teamFor)
+    // on zeroed input (id 0 is a valid token for the embedding models)
+    // get there. The input buffer's slab range is recycled by later
     // buffers (liveness packing), so each run re-zeroes it — the
     // per-batch gatherInto plays that role in steady state.
     faultOnWarmup();

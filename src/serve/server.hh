@@ -144,9 +144,10 @@ struct ServeOptions
     size_t maxBatch = 8;   //!< max coalesced items per forward;
                            //!< 1 = one request per batch
     long deadlineUs = 1000; //!< ignored: coalescing never waits for
-                            //!< a batch to fill. Kept so existing
-                            //!< callers compile; per-request expiry
-                            //!< is submit()'s deadlineUs.
+                            //!< a batch to fill. Kept only until
+                            //!< perfbench stops setting it, then
+                            //!< removed; per-request expiry is
+                            //!< submit()'s deadlineUs.
     size_t arenaBytes = 0; //!< arena capacity floor; 0 = sized from
                            //!< warmup measurement and the plan
     int ompThreads = 0;    //!< omp_set_num_threads per worker; 0 =

@@ -402,19 +402,26 @@ TEST(PlanExecutor, ReplicasShareOneWeightCopy)
         ASSERT_EQ(ya[i], yb[i]) << "index " << i;
 }
 
+/** Calibrate @p model on @p x and switch it to the Int backend. */
+void
+toIntBackend(Module& model, const Tensor& x)
+{
+    QConfig cfg;
+    QatContext qat(cfg);
+    qat.attach(model.params());
+    model.setActQuant(cfg.actBits, true);
+    model.forward(x, true); // calibrate
+    qat.finalize();
+    applyInferBackend(model, InferBackend::Int, &qat);
+}
+
 /** A MiniResNet calibrated on @p x and switched to the Int backend. */
 std::unique_ptr<Module>
 intMiniResNet(uint64_t seed, const Tensor& x)
 {
     Rng rng(seed);
     auto model = makeMiniResNet(4, rng);
-    QConfig cfg;
-    QatContext qat(cfg);
-    qat.attach(model->params());
-    model->setActQuant(cfg.actBits, true);
-    model->forward(x, true); // calibrate
-    qat.finalize();
-    applyInferBackend(*model, InferBackend::Int, &qat);
+    toIntBackend(*model, x);
     return model;
 }
 
@@ -448,10 +455,12 @@ setThreads(int n)
 #endif
 }
 
-// A batch of at most one item per thread runs on the calling thread
-// alone; a larger one gets the whole team. The choice depends on the
-// item count and the team width only.
-TEST(PlanExecutor, BatchOfAtMostOneItemPerThreadRunsWithoutATeam)
+// An item-parallel step runs on the calling thread alone while the
+// batch has at most one item per thread, and on the whole team above
+// that; a Linear step gets the team once its GEMM reaches
+// kRowSplitMinMacs, at any batch size. Both choices depend on their
+// arguments only.
+TEST(PlanExecutor, TeamWidthIsAPureFunctionOfTheStepShape)
 {
     for (int t : {1, 2, 3, 4, 8, 16}) {
         for (size_t n = 1; n <= size_t(t); ++n)
@@ -460,6 +469,11 @@ TEST(PlanExecutor, BatchOfAtMostOneItemPerThreadRunsWithoutATeam)
         for (size_t n = size_t(t) + 1; n <= 32; ++n)
             EXPECT_EQ(PlanExecutor::teamFor(n, t), t)
                 << "items " << n << ", threads " << t;
+        const size_t k = PlanExecutor::kRowSplitMinMacs;
+        EXPECT_EQ(PlanExecutor::rowTeamFor(1, t), 1);
+        EXPECT_EQ(PlanExecutor::rowTeamFor(k - 1, t), 1);
+        EXPECT_EQ(PlanExecutor::rowTeamFor(k, t), t);
+        EXPECT_EQ(PlanExecutor::rowTeamFor(64 * k, t), t);
     }
 }
 
@@ -498,8 +512,9 @@ expectEveryBatchMatchesSolo(PlanExecutor& exec, const Tensor& x,
 
 // Every batch size — the one-thread shape up to T items and the team
 // shape above it — is bit-equal to each item's solo eval forward, at
-// every thread count, for a CNN and for an LSTM (whose recurrent
-// steps keep the team), and run() leaves the caller's team width as
+// every thread count, for a CNN, an MLP whose wide Linear takes the
+// team at every size, and an LSTM (whose recurrent steps keep the
+// team at every size), and run() leaves the caller's team width as
 // it found it.
 TEST(PlanExecutor, EveryBatchSizeMatchesSoloForwardsAtEveryThreadCount)
 {
@@ -521,21 +536,30 @@ TEST(PlanExecutor, EveryBatchSizeMatchesSoloForwardsAtEveryThreadCount)
         v = float(int(dataRng.uniform(0.0, double(kVocab) - 0.001)));
     Rng lmRng(84);
     LstmLm lm(kVocab, 10, 16, 2, lmRng);
-    {
-        QConfig cfg;
-        QatContext qat(cfg);
-        qat.attach(lm.params());
-        lm.setActQuant(cfg.actBits, true);
-        lm.forward(tokens, true); // calibrate
-        qat.finalize();
-        applyInferBackend(lm, InferBackend::Int, &qat);
-    }
+    toIntBackend(lm, tokens);
     std::vector<Tensor> lmRefs;
     for (size_t i = 0; i < kMax; ++i) {
         Tensor xi({kSeq, 1});
         for (size_t tt = 0; tt < kSeq; ++tt)
             xi[tt] = tokens[tt * kMax + i];
         lmRefs.push_back(lm.forward(xi, false));
+    }
+
+    // Its first Linear is wide enough to take the team at batch 1
+    // (rowTeamFor), the second is not.
+    Rng mlpRng(85);
+    Sequential mlp;
+    mlp.add(std::make_unique<Flatten>());
+    mlp.add(std::make_unique<Linear>(432, 384, mlpRng));
+    mlp.add(std::make_unique<ReLU>());
+    mlp.add(std::make_unique<Linear>(384, 4, mlpRng));
+    ASSERT_GE(size_t(432 * 384), PlanExecutor::kRowSplitMinMacs);
+    toIntBackend(mlp, img);
+    std::vector<Tensor> mlpRefs;
+    for (size_t i = 0; i < kMax; ++i) {
+        Tensor xi({1, 3, 12, 12});
+        std::copy_n(img.data() + i * xi.size(), xi.size(), xi.data());
+        mlpRefs.push_back(mlp.forward(xi, false));
     }
 
     const int saved = maxThreads();
@@ -545,6 +569,9 @@ TEST(PlanExecutor, EveryBatchSizeMatchesSoloForwardsAtEveryThreadCount)
         PlanExecutor cnnExec(*cnn, {1, 3, 12, 12}, 0, kMax);
         expectEveryBatchMatchesSolo(cnnExec, img, 0, cnnRefs);
         EXPECT_EQ(maxThreads(), threads);
+        PlanExecutor mlpExec(mlp, {1, 3, 12, 12}, 0, kMax);
+        expectEveryBatchMatchesSolo(mlpExec, img, 0, mlpRefs);
+        EXPECT_EQ(maxThreads(), threads);
         PlanExecutor lmExec(lm, {kSeq, 1}, 1, kMax);
         expectEveryBatchMatchesSolo(lmExec, tokens, 1, lmRefs);
         EXPECT_EQ(maxThreads(), threads);
@@ -553,8 +580,9 @@ TEST(PlanExecutor, EveryBatchSizeMatchesSoloForwardsAtEveryThreadCount)
 }
 
 // The zero-allocation contract holds as steady-state batches alternate
-// between the one-thread shape (b1) and the team shape (b16), once
-// both were warmed the way the server warms a worker.
+// between the one-thread shape (b1, b2, b3) and the team shape (b16)
+// at 4 threads, once the executor was warmed the way the server warms
+// a worker (b1 and b16).
 TEST(PlanExecutor, AlternatingTeamShapesAllocateNothing)
 {
     constexpr size_t kMax = 16;
@@ -576,12 +604,13 @@ TEST(PlanExecutor, AlternatingTeamShapesAllocateNothing)
 
     ScopedHeapAllocCount heap;
     uint64_t a0 = arenaAllocCount();
-    for (int i = 0; i < 6; ++i) {
-        std::copy_n(x.data(), x.size(), exec.inputData());
-        exec.run(i % 2 == 0 ? 1 : kMax);
-    }
+    for (int round = 0; round < 2; ++round)
+        for (size_t n : {size_t(1), kMax, size_t(2), size_t(3)}) {
+            std::copy_n(x.data(), x.size(), exec.inputData());
+            exec.run(n);
+        }
     EXPECT_EQ(heap.count(), 0u)
-        << "alternating b1/b16 planned runs hit the real heap";
+        << "alternating b1/b16/b2/b3 planned runs hit the real heap";
     EXPECT_EQ(arenaAllocCount(), a0);
     setThreads(saved);
 }

@@ -83,10 +83,6 @@ struct ArmedPlan
     ~ArmedPlan() { disarmFaultPlan(); }
 };
 
-/** How long a held batch stalls while a test queues requests behind
-    it: far longer than submitting a few dozen requests takes. */
-constexpr long kHoldUs = 50'000;
-
 /** QAT-calibrate @p model on @p x and switch it to the Int backend. */
 void
 toIntBackend(Module& model, const Tensor& x)
@@ -103,11 +99,11 @@ toIntBackend(Module& model, const Tensor& x)
 /**
  * Serve every composition of @p data through a fresh one-worker
  * server and require each response bit-identical to the same request
- * run alone (@p refs, computed by direct forwards). A sacrificial
- * full-size first request holds the worker in a batch-0 stall (the
- * fault harness) while the composition queues behind it, so the
- * work-conserving gather takes the whole composition as one forward
- * — asserted through the batch count. With @p planned the server runs
+ * run alone (@p refs, computed by direct forwards). The fault
+ * harness holds the worker on a sacrificial full-size first request
+ * until the whole composition is queued behind it, so the
+ * work-conserving gather takes the composition as one forward —
+ * asserted through the batch count. With @p planned the server runs
  * the shared-model plan-execution path instead of the replica/arena
  * path — the references are still direct (scope-path) forwards, so
  * this is also the planned-vs-scope bit-equality check.
@@ -136,8 +132,7 @@ checkCompositions(Module& model, const BatchTraits& traits,
         opt.maxBatch = total;
         opt.ompThreads = ompThreads;
         FaultPlan hold;
-        hold.stallAtBatch = 0;
-        hold.stallUs = kHoldUs;
+        hold.holdAtBatch = 0;
         ArmedPlan armed(hold);
         std::unique_ptr<BatchServer> server;
         if (planned)
@@ -152,6 +147,7 @@ checkCompositions(Module& model, const BatchTraits& traits,
         std::vector<std::future<Tensor>> futs;
         for (Tensor& r : reqs)
             futs.push_back(server->submit(std::move(r)).future);
+        releaseFaultHold();
         for (size_t i = 0; i < futs.size(); ++i) {
             SCOPED_TRACE(testing::Message()
                          << "request " << i << " of " << comp.size()
@@ -339,13 +335,17 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
 
     ServeOptions opt;
     opt.maxBatch = 4;
-    // Keep requests queued at stop time: a sacrificial full-size
-    // request holds the worker in a stall while the rest queue behind
-    // it. A first request warms the worker, so it sits idle, ready to
-    // take the sacrificial one (batch 1) at once.
+    // One thread: the batches this test runs right before the model is
+    // freed would otherwise leave libgomp pool threads whose exit
+    // synchronizes with nothing TSan can see. Thread counts are
+    // covered by the composition tests; this one is about stop().
+    opt.ompThreads = 1;
+    // Keep requests queued at stop time: the fault harness holds the
+    // worker on a sacrificial full-size request (batch 1, after a
+    // warm-up request) while the rest queue behind it, and lets it go
+    // only once stop() has begun.
     FaultPlan hold;
-    hold.stallAtBatch = 1;
-    hold.stallUs = kHoldUs;
+    hold.holdAtBatch = 1;
     ArmedPlan armed(hold);
     BatchServer server({model.get()},
                        BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
@@ -355,10 +355,25 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
     for (size_t i = 0; i < 4; ++i)
         std::copy_n(x.data(), x.size(), full.data() + i * x.size());
     std::future<Tensor> sacrificial = server.submit(full).future;
+    awaitFaultHold();
     std::vector<std::future<Tensor>> futs;
     for (int i = 0; i < 40; ++i)
         futs.push_back(server.submit(sliceAxis0(x, 0, 1)).future);
-    server.stop(/*drain=*/false);
+    std::thread stopper([&] { server.stop(/*drain=*/false); });
+    // stop() has begun once the server refuses a submission; probes
+    // accepted before that stay queued and fail with the rest.
+    std::vector<std::future<Tensor>> probes;
+    for (;;) {
+        SubmitResult r = server.submit(sliceAxis0(x, 0, 1));
+        if (!r.accepted())
+            break;
+        probes.push_back(std::move(r.future));
+        std::this_thread::yield();
+    }
+    releaseFaultHold();
+    stopper.join();
+    for (std::future<Tensor>& f : probes)
+        EXPECT_THROW(f.get(), ServeError);
 
     size_t served = 0, rejected = 0;
     for (size_t i = 0; i < futs.size(); ++i) {
@@ -378,20 +393,12 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
     EXPECT_EQ(served + rejected, futs.size());
     EXPECT_EQ(served, 0u) << "requests queued at stop must not run";
 
-    // Besides the warm-up, the sacrificial request ran as the only
-    // batch, or — if stop() beat the worker to it — never ran at all.
-    ASSERT_EQ(sacrificial.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    size_t sacrificialServed = 0;
-    try {
-        sacrificial.get();
-        sacrificialServed = 1;
-    } catch (const ServeError& e) {
-        EXPECT_EQ(e.code(), ServeError::Code::Stopped);
-    }
+    // Besides the warm-up, the held sacrificial request ran as the
+    // only batch.
+    EXPECT_NO_THROW(sacrificial.get());
     BatchServer::Stats st = server.stats();
-    EXPECT_EQ(st.batches, 1 + sacrificialServed);
-    EXPECT_EQ(st.requests, 1 + sacrificialServed);
+    EXPECT_EQ(st.batches, 2u);
+    EXPECT_EQ(st.requests, 2u);
 
     // Submissions after stop are rejected, not enqueued.
     std::future<Tensor> late = server.submit(sliceAxis0(x, 0, 1)).future;
@@ -672,13 +679,15 @@ TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
     EXPECT_EQ(st.arenaOverflows, 0u);
 }
 
-// A worker whose batches alternate between the one-thread shape (b1)
-// and the team shape (b16) keeps serving solo-identical answers, and
-// in Debug builds its steady-state zero-allocation assertion (armed
-// from the third batch on) holds for both shapes.
+// A worker whose batches alternate between the one-thread shape (b1,
+// b2, b3 at 4 threads) and the team shape (b16) keeps serving
+// solo-identical answers, and in Debug builds its steady-state
+// zero-allocation assertion (armed from the third batch on) holds for
+// both shapes.
 TEST(ServePlanned, AlternatingTeamShapesServeBitIdentically)
 {
     constexpr size_t kMax = 16;
+    const size_t kSizes[] = {1, kMax, 2, 3};
     Rng dataRng(105);
     Tensor pool = Tensor::randn({kMax, 3, 12, 12}, dataRng, 1.0);
     for (float& v : pool.span())
@@ -686,8 +695,9 @@ TEST(ServePlanned, AlternatingTeamShapesServeBitIdentically)
     Rng rng(106);
     auto model = makeMiniResNet(4, rng);
     toIntBackend(*model, pool);
-    Tensor refFull = model->forward(pool, false);
-    Tensor refOne = model->forward(sliceAxis0(pool, 0, 1), false);
+    std::vector<Tensor> refs;
+    for (size_t n : kSizes)
+        refs.push_back(model->forward(sliceAxis0(pool, 0, n), false));
 
     ServeOptions opt;
     opt.maxBatch = kMax;
@@ -697,13 +707,9 @@ TEST(ServePlanned, AlternatingTeamShapesServeBitIdentically)
     for (int i = 0; i < 8; ++i) {
         SCOPED_TRACE(testing::Message() << "batch " << i);
         // One request in flight at a time: batch i is request i.
-        if (i % 2 == 0)
-            expectBitEqual(
-                server.submit(sliceAxis0(pool, 0, 1)).future.get(),
-                refOne);
-        else
-            expectBitEqual(server.submit(Tensor(pool)).future.get(),
-                           refFull);
+        expectBitEqual(
+            server.submit(sliceAxis0(pool, 0, kSizes[i % 4])).future.get(),
+            refs[i % 4]);
     }
     server.stop(true);
     EXPECT_EQ(server.stats().batches, 8u);
