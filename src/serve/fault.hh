@@ -5,8 +5,9 @@
  * throw inside a worker forward at batch k, kill a worker thread
  * permanently, stall a worker, fail an allocation during warmup,
  * hold a worker until the test releases it, corrupt a record file's
- * bytes as they are read, or fail a record write — and the hook points compiled into BatchServer and the
- * record container consult it. With no plan armed every hook is a
+ * bytes as they are read, or fail a record write — and the hook
+ * points compiled into BatchServer and the record container consult
+ * it. With no plan armed every hook is a
  * single relaxed atomic load, so the hooks stay compiled into every
  * build type and the chaos tests (tests/serve_fault_test.cc) exercise
  * the exact binaries CI ships; defining MIXQ_NO_FAULT_INJECTION

@@ -8,6 +8,9 @@
 #ifdef _OPENMP
 #include <omp.h>
 #endif
+#if defined(__SANITIZE_THREAD__) && defined(_OPENMP)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "serial/deploy.hh"
 #include "serve/executor.hh"
@@ -31,6 +34,28 @@ std::exception_ptr
 serveError(ServeError::Code code, const char* msg)
 {
     return std::make_exception_ptr(ServeError(code, msg));
+}
+
+/**
+ * ThreadSanitizer builds only: tell TSan that every thread of the
+ * calling thread's OpenMP team has finished its earlier work. libgomp
+ * is not instrumented, so TSan cannot see that its barriers order a
+ * pool thread's accesses before the team's master goes on. Once such
+ * an access falls out of TSan's history, a later free or reuse of
+ * that memory by a thread that joined the master is reported as a
+ * race whose pool-thread stack is gone, which tools/tsan.supp cannot
+ * match. Each team thread releases a token inside one more region
+ * and the caller acquires it after: the edge the barrier provides.
+ */
+void
+tsanJoinOmpTeam()
+{
+#if defined(__SANITIZE_THREAD__) && defined(_OPENMP)
+    char token = 0;
+#pragma omp parallel
+    __tsan_release(&token);
+    __tsan_acquire(&token);
+#endif
 }
 
 } // namespace
@@ -59,6 +84,8 @@ BatchServer::BatchServer(std::vector<Module*> replicas,
     }
     liveWorkers_ = replicas_.size();
     workers_.reserve(replicas_.size());
+    // The workers touch what this thread's pool threads last touched.
+    tsanJoinOmpTeam();
     for (size_t i = 0; i < replicas_.size(); ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
 }
@@ -97,6 +124,7 @@ BatchServer::BatchServer(Module& model, size_t replicas,
                         std::memory_order_relaxed);
     liveWorkers_ = replicas;
     workers_.reserve(replicas);
+    tsanJoinOmpTeam();
     for (size_t i = 0; i < replicas; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
 }
@@ -424,6 +452,9 @@ BatchServer::workerLoop(size_t worker)
         // serving — or sweeps the queue when this was the last one.
         abnormal = true;
     }
+    // stop() joins this thread; whatever the joiner then does with the
+    // model must be ordered after this worker's pool threads too.
+    tsanJoinOmpTeam();
     workerExit(abnormal);
 }
 

@@ -325,21 +325,17 @@ TEST(ServeConcurrency, RaggedProducersAllSettleCorrectly)
     EXPECT_LE(st.batches, st.requests);
 }
 
-TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
+/**
+ * Stop a one-worker server at @p threads OpenMP threads while
+ * requests are queued behind a held batch, and require every future
+ * to settle: the queued ones fail, none of them runs.
+ */
+void
+checkStopMidFlight(Module& model, const Tensor& x, int threads)
 {
-    Rng dataRng(89);
-    Tensor x = Tensor::randn({1, 3, 12, 12}, dataRng, 1.0);
-    Rng rng(90);
-    auto model = makeMiniResNet(4, rng);
-    toIntBackend(*model, x);
-
     ServeOptions opt;
     opt.maxBatch = 4;
-    // One thread: the batches this test runs right before the model is
-    // freed would otherwise leave libgomp pool threads whose exit
-    // synchronizes with nothing TSan can see. Thread counts are
-    // covered by the composition tests; this one is about stop().
-    opt.ompThreads = 1;
+    opt.ompThreads = threads;
     // Keep requests queued at stop time: the fault harness holds the
     // worker on a sacrificial full-size request (batch 1, after a
     // warm-up request) while the rest queue behind it, and lets it go
@@ -347,7 +343,7 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
     FaultPlan hold;
     hold.holdAtBatch = 1;
     ArmedPlan armed(hold);
-    BatchServer server({model.get()},
+    BatchServer server({&model},
                        BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
     server.submit(sliceAxis0(x, 0, 1)).future.get();
 
@@ -403,6 +399,20 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
     // Submissions after stop are rejected, not enqueued.
     std::future<Tensor> late = server.submit(sliceAxis0(x, 0, 1)).future;
     EXPECT_THROW(late.get(), std::runtime_error);
+}
+
+TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
+{
+    Rng dataRng(89);
+    Tensor x = Tensor::randn({1, 3, 12, 12}, dataRng, 1.0);
+    Rng rng(90);
+    auto model = makeMiniResNet(4, rng);
+    toIntBackend(*model, x);
+
+    for (int threads : threadCounts()) {
+        SCOPED_TRACE(testing::Message() << "omp threads " << threads);
+        checkStopMidFlight(*model, x, threads);
+    }
 }
 
 TEST(ServeShutdown, SubmitVsStopHammerIsDeterministic)
